@@ -47,10 +47,8 @@ METRICS = [
     ("proc.worker_cpu_us_per_query", "us"),
     ("proc.driver_cpu_us_per_query", "us"),
     ("proc.server_gc_ms_per_s", "ms"),
-    ("lat.p99_us", "us"),
-    ("lat.samples", "count"),
     ("ledger.residual_pct", "%"),
-    ("trace.overhead_ratio", "ratio"),
+    ("trace.qps", "1/s"),
 ]
 
 #: Queries each kernel replay answers.
@@ -144,19 +142,19 @@ def measure(
     spec,
     ready: dict,
     segment: str,
-    untraced,
-    traced,
+    window,
     before: dict,
     after: dict,
     cpu: Dict[str, float],
     updates: List[dict],
 ) -> Dict[str, float]:
-    """Every per-layer metric of one traced run."""
+    """Every per-layer metric of one traced run, whose ``window``
+    force-sampled every request."""
     timings = ready["timings"]
     spans = after["traces"]
     counters = diff(after, before)
-    queries = [r[0] for r in traced.records]
-    answers = [r[1] for r in traced.records]
+    queries = [r[0] for r in window.records]
+    answers = [r[1] for r in window.records]
     batch = spec.frame
     backends = available_backends()
     kernel = {
@@ -169,12 +167,12 @@ def measure(
     chunk = max(1, int(spans["chunk_size"]))
     per_worker = max(1, -(-int(spans["chunks"]) // workers))
     ipc = spans["pool_us"] - kernel_call_us(segment, queries, chunk, per_worker)
-    served = traced.answered
+    served = window.answered
     layer_sum = (
         codec["encode"] + codec["decode"] + spans["wait_us"] + spans["self_us"]
         + spans["lookup_us"] + spans["pool_us"]
     )
-    client_p50 = traced.p50_us()
+    client_p50 = window.p50_us()
     values = {
         "construction.build_s": timings["build_s"],
         "construction.freeze_s": timings.get("freeze_s", 0.0),
@@ -208,15 +206,14 @@ def measure(
         "proc.server_cpu_us_per_query": cpu["server"] / served * 1e6,
         "proc.worker_cpu_us_per_query": cpu["workers"] / served * 1e6,
         "proc.driver_cpu_us_per_query": cpu["client"] / served * 1e6,
-        "proc.server_gc_ms_per_s": counters["gc_s"] / traced.seconds * 1e3,
-        "lat.p99_us": untraced.p99_us(),
-        "lat.samples": len(untraced.latencies),
+        "proc.server_gc_ms_per_s": counters["gc_s"] / window.seconds * 1e3,
         # Only the lone workload's requests pass every layer once, so
         # only there do the layer medians add up to a request.
         "ledger.residual_pct": (
             (client_p50 - layer_sum) / client_p50 * 100.0
             if spec.name == "lone" else 0.0
         ),
-        "trace.overhead_ratio": untraced.qps / traced.qps,
+        # Tracing overhead is the untraced run's ``qps`` over this.
+        "trace.qps": window.qps,
     }
     return {name: values[name] for name, _ in METRICS}

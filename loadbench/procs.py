@@ -133,7 +133,9 @@ class Server:
             command.append("--smoke")
         if traced:
             command.append("--traced")
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        # One malloc arena: with glibc's default of one per thread, the
+        # peak memory of identical bulk runs varied by a quarter.
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), MALLOC_ARENA_MAX="1")
         self.events: "queue.Queue" = queue.Queue()
         self.proc = subprocess.Popen(
             command,
@@ -147,7 +149,12 @@ class Server:
         self._reader = threading.Thread(target=self._read, daemon=True)
         self._reader.start()
         self.family: Set[int] = set()
-        self.ready = self.wait("ready", self.START_TIMEOUT)
+        try:
+            self.ready = self.wait("ready", self.START_TIMEOUT)
+        except BaseException:
+            # No caller holds this handle yet, so nobody else can end it.
+            self.kill()
+            raise
         self.pids = [self.proc.pid] + list(self.ready["workers"])
         self.family = {self.proc.pid} | descendants(self.proc.pid)
 

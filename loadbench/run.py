@@ -14,13 +14,13 @@ their steadiness.
 
 ``--trace 0`` prints the end-to-end metrics: set-up time (the median of
 several complete set-ups), throughput, median latency, peak memory and
-the share of requests answered.  ``--trace 1`` sets up once, splits
-``--seconds`` between an untraced window and a window whose every
-request is force-sampled, and prints the per-layer metrics.  Both check
-every answer they can (outside the timed window), start and end with no
-server process or shared-memory segment of their own, and print a
-provenance line before the result, which is the last line of standard
-output.  The exit code is 0 only for a complete, correct run.
+the share of requests answered.  ``--trace 1`` sets up once, runs one
+window whose every request is force-sampled, and prints the per-layer
+metrics.  Both check every answer they can (outside the timed window),
+start and end with no server process or shared-memory segment of their
+own, and print a provenance line before the result, which is the last
+line of standard output.  The exit code is 0 only for a complete run in
+which every request was answered and every checked answer is right.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ def provenance(spec, ready: dict, load_start) -> dict:
         numpy_version = numpy.__version__
     except ImportError:
         numpy_version = None
-    status = git("status", "--porcelain")
+    status = git("status", "--porcelain", "--untracked-files=no")
     return {
         "git_sha": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
@@ -134,11 +134,10 @@ class Run:
         if spec.universe:
             # A long-running server holds the hot set: fill the cache
             # with the whole universe, then warm the read path.
-            zipf = ZipfQueries(self.graph, seed, spec.universe, spec.skew)
+            zipf = ZipfQueries(self.graph, seed, spec.universe)
             client.distance_many(zipf.distinct)
             stream = ZipfQueries(
-                self.graph, seed, spec.universe, spec.skew,
-                draws=seed + WARMUP_SEED,
+                self.graph, seed, spec.universe, draws=seed + WARMUP_SEED,
             )
         else:
             stream = UniformQueries(self.graph, seed + WARMUP_SEED)
@@ -166,10 +165,10 @@ class Run:
             )
         if not spec.universe:
             return UniformQueries(self.graph, seed), None, None
-        stream = ZipfQueries(self.graph, seed, spec.universe, spec.skew)
+        stream = ZipfQueries(self.graph, seed, spec.universe)
         churn = Churn(
             self.server,
-            edge_batches(self.graph, seed, spec.edges_per_batch),
+            edge_batches(self.graph, seed),
             spec.reads_per_batch,
         )
         return stream, churn, snapshot_index(self.server.ready["segment"])
@@ -230,45 +229,37 @@ class Run:
 
     def _traced(self) -> dict:
         stream, churn, base = self._load()
-        # The run's seconds split between an untraced and a traced window.
-        half = self.args.seconds / 2
-        # The untraced window samples memory exactly as an untraced run
-        # does, so the two windows differ only in tracing.
-        untraced = self._window(stream, churn, half, meter=Meter(self.server.pids))
         before = self.server.request({"cmd": "stats"}, "stats")
-        published = len(churn.updates) if churn is not None else 0
         pids = self.server.pids
         cpu = (cpu_seconds(pids[:1]), cpu_seconds(pids[1:]), time.process_time())
-        traced = self._window(stream, churn, half, sampled=True)
+        window = self._window(stream, churn, self.args.seconds, sampled=True)
         cpu = {
             "server": cpu_seconds(pids[:1]) - cpu[0],
             "workers": cpu_seconds(pids[1:]) - cpu[1],
             "client": time.process_time() - cpu[2],
         }
         after = self.server.request({"cmd": "stats"}, "stats")
-        updates = churn.updates[published:] if churn is not None else []
-        segment = (
-            churn.updates[-1]["segment"] if churn is not None and churn.updates
-            else self.server.ready["segment"]
-        )
+        updates = churn.updates if churn is not None else []
+        segment = updates[-1]["segment"] if updates else self.server.ready["segment"]
         values = layers.measure(
             spec=self.spec, ready=self.server.ready, segment=segment,
-            untraced=untraced, traced=traced, before=before, after=after,
-            cpu=cpu, updates=updates,
+            window=window, before=before, after=after, cpu=cpu, updates=updates,
         )
-        errors = self._check(untraced.records + traced.records, churn, base)
+        errors = self._check(window.records, churn, base)
         units = dict(layers.METRICS)
         metrics = {name: (value, units[name]) for name, value in values.items()}
         detail = {
             "traces": after["traces"],
-            "checked_answers": len(untraced.records) + len(traced.records),
+            "checked_answers": len(window.records),
             "errors": errors[:10],
         }
-        return self._result(traced, errors, metrics, detail)
+        return self._result(window, errors, metrics, detail)
 
     def _result(self, window, errors, metrics, detail) -> dict:
+        # A failed or shed request fails the run as a wrong answer does:
+        # at library defaults every request must be answered.
         return {
-            "correct": not errors,
+            "correct": not errors and not window.failed,
             "attempted": window.attempted,
             "failed": window.failed,
             "metrics": {

@@ -29,6 +29,11 @@ from typing import Dict, Iterator, List, Set, Tuple
 Query = Tuple[int, int, float]
 Edge = Tuple[int, int, float]
 
+#: Zipf exponent of the ``churn`` reads.
+SKEW = 1.0
+#: New edges in each ``churn`` mutation batch.
+EDGES_PER_BATCH = 4
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -42,10 +47,8 @@ class Workload:
     frame: int = 1
     #: Distinct queries the Zipf reads draw from (0: uniform queries).
     universe: int = 0
-    skew: float = 1.0
     #: Answered reads between two mutation batches (0: no mutations).
     reads_per_batch: int = 0
-    edges_per_batch: int = 4
     #: Warm-up requests, the last step of every set-up.
     warmup: int = 64
     #: Requests sent after set-up, untimed, to bring the server to its
@@ -60,7 +63,7 @@ WORKLOADS: Dict[str, Workload] = {
         prefill=72,
     ),
     "churn": Workload(
-        "churn", "EU", 3.0, universe=4096, reads_per_batch=1000, warmup=400
+        "churn", "EU", 3.0, universe=4096, reads_per_batch=2000, warmup=400
     ),
 }
 
@@ -115,12 +118,10 @@ class UniformQueries:
 class ZipfQueries:
     """An endless seeded stream of Zipf-ranked reads over ``universe``
     distinct uniform queries: rank ``r`` is drawn with probability
-    proportional to ``r ** -skew``.  ``draws`` seeds the draws apart
+    proportional to ``r ** -SKEW``.  ``draws`` seeds the draws apart
     from the universe, so two streams can share one universe."""
 
-    def __init__(
-        self, graph, seed: int, universe: int, skew: float, draws=None
-    ) -> None:
+    def __init__(self, graph, seed: int, universe: int, draws=None) -> None:
         self.distinct = list(
             dict.fromkeys(UniformQueries(graph, seed).take(universe))
         )
@@ -128,7 +129,7 @@ class ZipfQueries:
         self._cumulative: List[float] = []
         total = 0.0
         for rank in range(1, len(self.distinct) + 1):
-            total += rank ** -skew
+            total += rank ** -SKEW
             self._cumulative.append(total)
         self._total = total
 
@@ -140,8 +141,8 @@ class ZipfQueries:
         ]
 
 
-def edge_batches(graph, seed: int, size: int) -> Iterator[List[Edge]]:
-    """Endless seeded batches of ``size`` edges that are new to
+def edge_batches(graph, seed: int) -> Iterator[List[Edge]]:
+    """Endless seeded batches of ``EDGES_PER_BATCH`` edges that are new to
     ``graph`` and to every earlier batch, so each one is an insertion
     (never an upgrade of an existing edge, never a deletion)."""
     rng = random.Random(seed)
@@ -150,7 +151,7 @@ def edge_batches(graph, seed: int, size: int) -> Iterator[List[Edge]]:
     taken: Set[Tuple[int, int]] = set()
     while True:
         batch: List[Edge] = []
-        while len(batch) < size:
+        while len(batch) < EDGES_PER_BATCH:
             u, v = rng.randrange(n), rng.randrange(n)
             key = (min(u, v), max(u, v))
             if u == v or key in taken or graph.has_edge(u, v):
