@@ -1,23 +1,18 @@
 """Answer checking, run after the timed window.
 
-* Answers served without mutations are compared with an in-process
-  engine on the very image the server published, answering through the
-  pure-Python ``stdlib`` kernel (the repository's reference kernel).
-* Answers served while mutations republish pass if they equal the
-  oracle of some epoch that was live while the request was in flight.
-  The oracle starts from the server's first image and replays the same
-  insertions in this process.
-* On every workload a fixed-size seeded sample is also compared with a
-  constrained BFS over the graph, which shares no code with the index.
+* Answers are compared with an in-process engine on the very image the
+  server published, answering through the pure-Python ``stdlib`` kernel
+  (the repository's reference kernel).
+* A fixed-size seeded sample is also compared with a constrained BFS
+  over the graph, which shares no code with the index.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.baselines.online import ConstrainedBFS
-from repro.live import KIND_INSERT, LiveWCIndex
 from repro.serve import attach_image
 
 #: Answers per run also checked against a constrained BFS.
@@ -32,16 +27,7 @@ def stdlib_answers(segment: str, queries: Sequence) -> List[float]:
         attached.close()
 
 
-def snapshot_index(segment: str):
-    """A list-backed copy of the published image, independent of it."""
-    attached = attach_image(segment, backend="stdlib")
-    try:
-        return attached.engine.thaw()
-    finally:
-        attached.close()
-
-
-def check_static(segment: str, graph, records, seed: int) -> List[str]:
+def check_answers(segment: str, graph, records, seed: int) -> List[str]:
     """Every recorded answer against the stdlib kernel on the served
     image, and a BFS sample against the graph."""
     queries = [r[0] for r in records]
@@ -52,50 +38,10 @@ def check_static(segment: str, graph, records, seed: int) -> List[str]:
         if r[1] != e
     ]
     bfs = ConstrainedBFS(graph)
-    for query, answer, _, _ in _sample(records, seed):
+    for query, answer in _sample(records, seed):
         truth = bfs.distance(*query)
         if answer != truth:
             errors.append(f"{query}: served {answer!r}, BFS {truth!r}")
-    return errors
-
-
-def check_epochs(base_index, graph, batches, records, seed: int) -> List[str]:
-    """Each answer must equal the oracle of an epoch in its window.
-
-    ``graph`` is a private copy of the server's starting graph; the
-    oracle mutates it as it replays ``batches``."""
-    needed: Dict[int, set] = {}
-    for query, _, lo, hi in records:
-        for epoch in range(lo, hi + 1):
-            needed.setdefault(epoch, set()).add(query)
-    spot: Dict[int, list] = {}
-    for record in _sample([r for r in records if r[2] == r[3]], seed):
-        spot.setdefault(record[2], []).append(record)
-    oracle = LiveWCIndex(graph, index=base_index)
-    truth: Dict[tuple, float] = {}
-    errors: List[str] = []
-    for epoch in range(len(batches) + 1):
-        if epoch:
-            oracle.apply(
-                [(KIND_INSERT, u, v, float(q)) for u, v, q in batches[epoch - 1]]
-            )
-        queries = sorted(needed.get(epoch, ()))
-        for query, answer in zip(queries, oracle.distance_many(queries)):
-            truth[query, epoch] = answer
-        bfs = ConstrainedBFS(oracle.graph)
-        for query, answer, _, _ in spot.get(epoch, ()):
-            expected = bfs.distance(*query)
-            if answer != expected:
-                errors.append(
-                    f"{query} at epoch {epoch}: served {answer!r}, BFS {expected!r}"
-                )
-    for query, answer, lo, hi in records:
-        allowed = {truth[query, epoch] for epoch in range(lo, hi + 1)}
-        if answer not in allowed:
-            errors.append(
-                f"{query} in epochs {lo}..{hi}: served {answer!r}, "
-                f"oracle {sorted(allowed)}"
-            )
     return errors
 
 

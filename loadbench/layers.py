@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
+
+from workloads import new_edges
 
 from repro.core.kernels import available_backends, resolve_backend
+from repro.live import KIND_INSERT, live_index
 from repro.serve import attach_image, protocol
 
 #: (name, unit) of every per-layer metric, in BENCHMARK.json order.
@@ -34,14 +37,12 @@ METRICS = [
     ("net.shed", "count"),
     ("cache.hit_ratio", "ratio"),
     ("cache.lookup_us_p50", "us"),
-    ("cache.invalidated_per_publish", "count"),
     ("pool.call_us_p50", "us"),
     ("pool.ipc_us_p50", "us"),
     ("pool.redispatches", "count"),
     ("pool.restarts", "count"),
-    ("live.update_ms", "ms"),
     ("live.repair_ms", "ms"),
-    ("live.republish_ms", "ms"),
+    ("live.freeze_ms", "ms"),
     ("live.dirty_fraction", "ratio"),
     ("proc.server_cpu_us_per_query", "us"),
     ("proc.worker_cpu_us_per_query", "us"),
@@ -55,6 +56,9 @@ METRICS = [
 REPLAY_QUERIES = 2048
 #: Seconds each codec replay runs.
 CODEC_SECONDS = 0.2
+#: New edges the live replay inserts, one at a time.  On the road graph
+#: one insertion repairs about half the labels and takes seconds.
+LIVE_INSERTS = 2
 
 
 def _median(values) -> float:
@@ -110,6 +114,33 @@ def codec_us(queries: Sequence, answers: Sequence[float]) -> Dict[str, float]:
     return {"encode": _median(encode) * 1e6, "decode": _median(decode) * 1e6}
 
 
+def live_replay(segment: str, graph, seed: int) -> Dict[str, float]:
+    """Insert ``LIVE_INSERTS`` new edges, one at a time, into a live
+    index adopted from the published image, timing each repair and the
+    refreeze after it: the work ``LivePublisher`` does before it swaps
+    the image.  ``graph`` is mutated."""
+    attached = attach_image(segment, backend="stdlib")
+    try:
+        live = live_index(graph, index=attached.engine.thaw())
+    finally:
+        attached.close()
+    repair, freeze, dirty = [], [], []
+    for u, v, quality in new_edges(graph, seed, LIVE_INSERTS):
+        t0 = time.perf_counter()
+        touched = live.apply([(KIND_INSERT, u, v, float(quality))])
+        t1 = time.perf_counter()
+        live.freeze()
+        t2 = time.perf_counter()
+        repair.append(t1 - t0)
+        freeze.append(t2 - t1)
+        dirty.append(len(touched) / graph.num_vertices)
+    return {
+        "repair_ms": _median(repair) * 1e3,
+        "freeze_ms": _median(freeze) * 1e3,
+        "dirty_fraction": _median(dirty),
+    }
+
+
 def diff(after: dict, before: dict) -> dict:
     """Front-door, cache and pool counters accumulated between two
     ``stats`` replies."""
@@ -126,9 +157,6 @@ def diff(after: dict, before: dict) -> dict:
         "batch_mean": queries / batches if batches else 0.0,
         "shed": net_a["queries"]["shed"] - net_b["queries"]["shed"],
         "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
-        "invalidated": (
-            cache_a["invalidated_entries"] - cache_b["invalidated_entries"]
-        ),
         "redispatches": (
             after["dispatch"]["redispatches"] - before["dispatch"]["redispatches"]
         ),
@@ -141,16 +169,18 @@ def measure(
     *,
     spec,
     ready: dict,
-    segment: str,
+    graph,
+    seed: int,
     window,
     before: dict,
     after: dict,
     cpu: Dict[str, float],
-    updates: List[dict],
 ) -> Dict[str, float]:
     """Every per-layer metric of one traced run, whose ``window``
-    force-sampled every request."""
+    force-sampled every request.  ``graph`` is the served graph; the
+    live replay mutates it."""
     timings = ready["timings"]
+    segment = ready["segment"]
     spans = after["traces"]
     counters = diff(after, before)
     queries = [r[0] for r in window.records]
@@ -173,6 +203,7 @@ def measure(
         + spans["lookup_us"] + spans["pool_us"]
     )
     client_p50 = window.p50_us()
+    live = live_replay(segment, graph, seed)
     values = {
         "construction.build_s": timings["build_s"],
         "construction.freeze_s": timings.get("freeze_s", 0.0),
@@ -190,19 +221,13 @@ def measure(
         "net.shed": counters["shed"],
         "cache.hit_ratio": counters["hit_ratio"],
         "cache.lookup_us_p50": spans["lookup_us"],
-        "cache.invalidated_per_publish": (
-            counters["invalidated"] / len(updates) if updates else 0.0
-        ),
         "pool.call_us_p50": spans["pool_us"],
         "pool.ipc_us_p50": ipc if spans["pool_calls"] else 0.0,
         "pool.redispatches": counters["redispatches"],
         "pool.restarts": counters["restarts"],
-        "live.update_ms": _median([u["update_ms"] for u in updates]),
-        "live.repair_ms": _median([u["repair_ms"] for u in updates]),
-        "live.republish_ms": _median([u["republish_ms"] for u in updates]),
-        "live.dirty_fraction": _median(
-            [u["dirty"] / ready["vertices"] for u in updates]
-        ),
+        "live.repair_ms": live["repair_ms"],
+        "live.freeze_ms": live["freeze_ms"],
+        "live.dirty_fraction": live["dirty_fraction"],
         "proc.server_cpu_us_per_query": cpu["server"] / served * 1e6,
         "proc.worker_cpu_us_per_query": cpu["workers"] / served * 1e6,
         "proc.driver_cpu_us_per_query": cpu["client"] / served * 1e6,

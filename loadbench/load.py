@@ -42,9 +42,7 @@ class Window:
     answered: int = 0
     failed: int = 0
     latencies: List[float] = field(default_factory=list)
-    #: ``(query, answer, lo, hi)``: the answer must be the oracle's for
-    #: some mutation epoch in ``[lo, hi]`` (always ``0, 0`` without
-    #: mutations).
+    #: ``(query, answer)`` of every answer to be checked.
     records: List[tuple] = field(default_factory=list)
 
     @property
@@ -63,51 +61,6 @@ class Window:
         return ordered[int(0.99 * (len(ordered) - 1))] * 1e6
 
 
-class Churn:
-    """Sends a mutation batch after every ``reads_per_batch`` answered
-    reads, at most one batch unacknowledged at a time, and times each
-    from sending to the server's acknowledgement that it serves."""
-
-    def __init__(self, server, batches, reads_per_batch: int) -> None:
-        self.server = server
-        self.batches = batches
-        self.reads_per_batch = reads_per_batch
-        self.sent: List[list] = []
-        self.acked = 0
-        self.updates: List[dict] = []
-        self._reads = 0
-        self._sent_at: Optional[float] = None
-
-    def after_read(self) -> None:
-        self._reads += 1
-        self.poll()
-        if self._reads >= self.reads_per_batch and self._sent_at is None:
-            batch = next(self.batches)
-            self._sent_at = time.perf_counter()
-            self.server.send({"cmd": "mutate", "edges": batch})
-            self.sent.append(batch)
-            self._reads = 0
-
-    def poll(self, timeout: float = 0.0) -> None:
-        while self._sent_at is not None:
-            got = (
-                self.server.next_event(timeout) if timeout
-                else self.server.poll_event()
-            )
-            if got is None:
-                return
-            arrived, event = got
-            if event is None or event.get("event") != "published":
-                raise BenchError(f"server sent {event!r} while publishing")
-            event["update_ms"] = (arrived - self._sent_at) * 1e3
-            self.updates.append(event)
-            self.acked += 1
-            self._sent_at = None
-
-    def drain(self) -> None:
-        self.poll(timeout=60.0)
-
-
 def reads(
     client: NetClient,
     stream,
@@ -116,7 +69,6 @@ def reads(
     count: int = 0,
     sampled: bool = False,
     meter: Optional[Meter] = None,
-    churn: Optional[Churn] = None,
 ) -> Window:
     """One connection, one query per request, each sent when the last
     is answered; for ``seconds`` or, if given, ``count`` requests."""
@@ -132,7 +84,6 @@ def reads(
         if meter is not None:
             meter.tick(now)
         query = stream.take(1)[0]
-        lo = churn.acked if churn is not None else 0
         sent = clock()
         try:
             result = call([query])
@@ -142,10 +93,7 @@ def reads(
         window.latencies.append(clock() - sent)
         window.answered += 1
         answers = result[0] if sampled else result
-        hi = len(churn.sent) if churn is not None else 0
-        window.records.append((query, answers[0], lo, hi))
-        if churn is not None:
-            churn.after_read()
+        window.records.append((query, answers[0]))
     window.seconds = clock() - started
     return window
 
@@ -262,9 +210,7 @@ def _settle(window: Window, conn, frame, now: float, keep) -> None:
         window.latencies.append(now - sent)
         window.answered += len(answers)
         if keep(index):
-            window.records.extend(
-                (q, a, 0, 0) for q, a in zip(queries, answers)
-            )
+            window.records.extend(zip(queries, answers))
         return
     if frame.msg_type == protocol.MSG_ERROR:
         request_id, code, message = protocol.decode_error(frame.payload)

@@ -4,10 +4,10 @@ Run from the repository root::
 
     python3 loadbench/run.py --workload lone --seed 1 --seconds 10 --trace 0
     python3 loadbench/run.py --workload bulk --seed 1 --seconds 10 --trace 1
-    python3 loadbench/run.py --workload churn --smoke      # seconds, tiny graph
+    python3 loadbench/run.py --workload lone --smoke       # seconds, tiny graph
 
 The server runs in its own process (``server.py``) with the library's
-serving defaults; this process generates every query and mutation from
+serving defaults; this process generates every query from
 ``--seed`` and is the only client, with at most two connections.  All
 loads are closed loops.  See README.md for the workloads, metrics and
 their steadiness.

@@ -15,16 +15,10 @@ import time
 from pathlib import Path
 
 import layers
-from checks import check_epochs, check_static, snapshot_index
-from load import Churn, Meter, pipelined, reads
+from checks import check_answers
+from load import Meter, pipelined, reads
 from procs import Server, check_clean, cpu_seconds
-from workloads import (
-    UniformQueries,
-    ZipfQueries,
-    edge_batches,
-    load_graph,
-    workload,
-)
+from workloads import DATASET, UniformQueries, load_graph, workload
 
 from repro.serve import NetClient
 
@@ -62,7 +56,7 @@ def provenance(spec, ready: dict, load_start) -> dict:
         "numpy": numpy_version,
         "cpu_count": os.cpu_count(),
         "repro_scale": spec.scale,
-        "dataset": spec.dataset,
+        "dataset": DATASET,
         "vertices": ready["vertices"],
         "entries": ready["entries"],
         "image_bytes": ready["image_bytes"],
@@ -131,17 +125,7 @@ class Run:
             return
         client = NetClient("127.0.0.1", port)
         self.clients = [client]
-        if spec.universe:
-            # A long-running server holds the hot set: fill the cache
-            # with the whole universe, then warm the read path.
-            zipf = ZipfQueries(self.graph, seed, spec.universe)
-            client.distance_many(zipf.distinct)
-            stream = ZipfQueries(
-                self.graph, seed, spec.universe, draws=seed + WARMUP_SEED,
-            )
-        else:
-            stream = UniformQueries(self.graph, seed + WARMUP_SEED)
-        reads(client, stream, count=spec.warmup)
+        reads(client, UniformQueries(self.graph, seed + WARMUP_SEED), count=spec.warmup)
 
     def _stop(self) -> None:
         for client in self.clients:
@@ -153,8 +137,8 @@ class Run:
 
     # -- the timed windows ---------------------------------------------
     def _load(self):
-        """The workload's query stream and, for ``churn``, its mutation
-        schedule and the oracle's starting image."""
+        """The workload's query stream, after the untimed requests that
+        bring the server to its steady state."""
         spec, seed = self.spec, self.args.seed
         if spec.prefill:
             pipelined(
@@ -163,17 +147,9 @@ class Run:
                 size=spec.frame, connections=spec.connections,
                 depth=spec.depth, count=spec.prefill,
             )
-        if not spec.universe:
-            return UniformQueries(self.graph, seed), None, None
-        stream = ZipfQueries(self.graph, seed, spec.universe)
-        churn = Churn(
-            self.server,
-            edge_batches(self.graph, seed),
-            spec.reads_per_batch,
-        )
-        return stream, churn, snapshot_index(self.server.ready["segment"])
+        return UniformQueries(self.graph, seed)
 
-    def _window(self, stream, churn, seconds, *, sampled=False, meter=None):
+    def _window(self, stream, seconds, *, sampled=False, meter=None):
         spec = self.spec
         self.server.request({"cmd": "collect"}, "collected")
         if spec.frame > 1:
@@ -183,30 +159,22 @@ class Run:
                 seconds=seconds, sampled=sampled,
                 keep=lambda index: index % CHECK_EVERY == 0, meter=meter,
             )
-        window = reads(
-            self.clients[0], stream, seconds=seconds,
-            sampled=sampled, meter=meter, churn=churn,
+        return reads(
+            self.clients[0], stream, seconds=seconds, sampled=sampled, meter=meter
         )
-        if churn is not None:
-            churn.drain()
-        return window
 
-    def _check(self, records, churn, base) -> list:
-        if churn is None:
-            return check_static(
-                self.server.ready["segment"], self.graph, records, self.args.seed
-            )
-        return check_epochs(
-            base, load_graph(self.spec), churn.sent, records, self.args.seed
+    def _check(self, records) -> list:
+        return check_answers(
+            self.server.ready["segment"], self.graph, records, self.args.seed
         )
 
     def _untraced(self, setup_s) -> dict:
-        stream, churn, base = self._load()
+        stream = self._load()
         meter = Meter(self.server.pids)
         before = self.server.request({"cmd": "stats"}, "stats")
-        window = self._window(stream, churn, self.args.seconds, meter=meter)
+        window = self._window(stream, self.args.seconds, meter=meter)
         counters = layers.diff(self.server.request({"cmd": "stats"}, "stats"), before)
-        errors = self._check(window.records, churn, base)
+        errors = self._check(window.records)
         metrics = {
             "setup_s": (statistics.median(setup_s), "s"),
             "qps": (window.qps, "1/s"),
@@ -223,29 +191,26 @@ class Run:
             "errors": errors[:10],
             "counters": counters,
         }
-        if churn is not None:
-            detail["update_ms"] = [round(u["update_ms"], 3) for u in churn.updates]
         return self._result(window, errors, metrics, detail)
 
     def _traced(self) -> dict:
-        stream, churn, base = self._load()
+        stream = self._load()
         before = self.server.request({"cmd": "stats"}, "stats")
         pids = self.server.pids
         cpu = (cpu_seconds(pids[:1]), cpu_seconds(pids[1:]), time.process_time())
-        window = self._window(stream, churn, self.args.seconds, sampled=True)
+        window = self._window(stream, self.args.seconds, sampled=True)
         cpu = {
             "server": cpu_seconds(pids[:1]) - cpu[0],
             "workers": cpu_seconds(pids[1:]) - cpu[1],
             "client": time.process_time() - cpu[2],
         }
         after = self.server.request({"cmd": "stats"}, "stats")
-        updates = churn.updates if churn is not None else []
-        segment = updates[-1]["segment"] if updates else self.server.ready["segment"]
         values = layers.measure(
-            spec=self.spec, ready=self.server.ready, segment=segment,
-            window=window, before=before, after=after, cpu=cpu, updates=updates,
+            spec=self.spec, ready=self.server.ready,
+            graph=load_graph(self.spec), seed=self.args.seed, window=window, before=before, after=after,
+            cpu=cpu,
         )
-        errors = self._check(window.records, churn, base)
+        errors = self._check(window.records)
         units = dict(layers.METRICS)
         metrics = {name: (value, units[name]) for name, value in values.items()}
         detail = {

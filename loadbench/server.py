@@ -13,10 +13,6 @@ It speaks JSON lines: events on stdout, commands on stdin.
 
 * ``{"event": "ready", ...}`` once the front door listens, with the
   port, segment name, worker pids and the set-up timings.
-* ``{"cmd": "mutate", "edges": [[u, v, q], ...]}`` inserts the edges
-  through the live publisher (repair, refreeze, swap, cache
-  invalidation) and answers ``{"event": "published", ...}`` once the new
-  epoch serves.
 * ``{"cmd": "stats"}`` answers the front door, cache and pool counters,
   the time spent in garbage collection (traced runs) and a summary of
   the traces finished since the previous ``stats``.
@@ -41,13 +37,11 @@ import gc
 import json
 import statistics
 import sys
-import threading
 import time
 
 from workloads import load_graph, workload
 
 from repro.core import WCIndexBuilder
-from repro.live import KIND_INSERT, LivePublisher, live_index
 from repro.obs import Telemetry
 from repro.serve import (
     AnswerCache,
@@ -59,29 +53,6 @@ from repro.serve import (
 
 #: Finished traces a traced run keeps (one per force-sampled request).
 TRACED_RING = 1 << 16
-
-
-class SerialPool(PoolClient):
-    """A pool client whose batches never overlap a republish.
-
-    ``QueryServer`` is a single-client facade: ``swap_image`` waits on
-    the same result pipes as ``query_batch`` and must run between
-    batches, or each can take and drop the other's replies and both
-    wait forever.  The front door calls the pool from executor threads
-    while the publisher swaps from the main thread, so both hold
-    ``lock``.  Edge repair and cache hits do not take it."""
-
-    def __init__(self, server, lock) -> None:
-        super().__init__(server)
-        self.lock = lock
-
-    def distance_many(self, queries):
-        with self.lock:
-            return super().distance_many(queries)
-
-    def distance_many_traced(self, queries, sink):
-        with self.lock:
-            return super().distance_many_traced(queries, sink)
 
 
 def emit(event: dict) -> None:
@@ -99,38 +70,20 @@ class Bench:
         started = time.perf_counter()
         graph = load_graph(spec)
         self.num_vertices = graph.num_vertices
-        self.publisher = None
-        if spec.reads_per_batch:
-            live = live_index(graph)
-            self.timings["build_s"] = time.perf_counter() - started
-            mark = time.perf_counter()
-            self.publisher = LivePublisher(live, segment_prefix=prefix)
-            self.timings["pool_start_s"] = time.perf_counter() - mark
-            if traced:
-                # LivePublisher freezes inside its constructor; a traced
-                # run times one more freeze to split that cost out.
-                mark = time.perf_counter()
-                live.freeze()
-                self.timings["freeze_s"] = time.perf_counter() - mark
-                self.timings["pool_start_s"] -= self.timings["freeze_s"]
-            self.server = self.publisher.server
-            frozen = self.publisher.frozen
-        else:
-            index = WCIndexBuilder(graph, "hybrid", query_kernel="linear").build()
-            self.timings["build_s"] = time.perf_counter() - started
-            mark = time.perf_counter()
-            frozen = index.freeze()
-            del index
-            self.timings["freeze_s"] = time.perf_counter() - mark
-            mark = time.perf_counter()
-            self.server = QueryServer(frozen, segment_name=f"{prefix}g0")
-            self.timings["pool_start_s"] = time.perf_counter() - mark
+        index = WCIndexBuilder(graph, "hybrid", query_kernel="linear").build()
+        self.timings["build_s"] = time.perf_counter() - started
+        mark = time.perf_counter()
+        frozen = index.freeze()
+        del index
+        self.timings["freeze_s"] = time.perf_counter() - mark
+        mark = time.perf_counter()
+        self.server = QueryServer(frozen, segment_name=f"{prefix}g0")
+        self.timings["pool_start_s"] = time.perf_counter() - mark
         self.entries = frozen.entry_count()
         self.cache = self.server.attach_cache(AnswerCache(frozen))
-        self.pool_lock = threading.Lock()
         telemetry = Telemetry(trace_capacity=TRACED_RING) if traced else None
         self.front = NetServerThread(
-            CachingClient(SerialPool(self.server, self.pool_lock), self.cache),
+            CachingClient(PoolClient(self.server), self.cache),
             telemetry=telemetry,
         )
         self.front.start()
@@ -170,24 +123,6 @@ class Bench:
             "timings": self.timings,
         }
 
-    def mutate(self, edges) -> dict:
-        mark = time.perf_counter()
-        dirty = self.publisher.live.apply(
-            [(KIND_INSERT, u, v, float(q)) for u, v, q in edges]
-        )
-        repaired = time.perf_counter()
-        with self.pool_lock:
-            report = self.publisher.republish()
-        done = time.perf_counter()
-        return {
-            "event": "published",
-            "epoch": report.epoch,
-            "segment": self.server.image_name,
-            "dirty": len(dirty),
-            "repair_ms": (repaired - mark) * 1e3,
-            "republish_ms": (done - repaired) * 1e3,
-        }
-
     def stats(self) -> dict:
         sampled = int(self.telemetry.traces_sampled.value)
         fresh = min(sampled - self._traces_seen, len(self.telemetry.traces))
@@ -206,10 +141,7 @@ class Bench:
 
     def close(self) -> None:
         self.front.stop()
-        if self.publisher is not None:
-            self.publisher.close()
-        else:
-            self.server.close()
+        self.server.close()
 
 
 def summarize(traces) -> dict:
@@ -273,9 +205,7 @@ def main() -> int:
             command = json.loads(line)
             if command["cmd"] == "stop":
                 break
-            if command["cmd"] == "mutate":
-                emit(bench.mutate(command["edges"]))
-            elif command["cmd"] == "stats":
+            if command["cmd"] == "stats":
                 emit(bench.stats())
             elif command["cmd"] == "collect":
                 emit(bench.collect())

@@ -1,54 +1,41 @@
 """The benchmark's workloads and the inputs each one draws from its seed.
 
 Both processes import this module: the server to know which graph to
-build, the client (``run.py``) to generate the queries and mutations it
-sends.  The server never sees the seed; it receives only what is sent.
+build, the client (``run.py``) to generate the queries it sends.  The
+server never sees the seed; it receives only what is sent.
 
-* ``lone``  -- one connection, batch-1 uniform queries on FLA at scale 10
+* ``lone`` -- one connection, batch-1 uniform queries on FLA at scale 10
   (2,703 vertices; the label image is larger than a core's L2).  Every
   fixed per-request cost is paid once per query: the batching window,
   the frame codec, the pool round trip and the batch-1 kernel path.
-* ``bulk``  -- the same graph; two connections each keep two frames of
+* ``bulk`` -- the same graph; two connections each keep two frames of
   1,024 uniform queries in flight.  Frames exceed the batcher's
   ``max_batch``, so nothing waits for the window and the cost is per
   query on a CPU-bound server.
-* ``churn`` -- EU at scale 3 (a social graph).  Batch-1 Zipf reads over
-  a few thousand distinct queries, which fit in the answer cache, and
-  after every fixed number of answered reads a batch of four new edges
-  that the server republishes while reads continue.  The mix is fixed
-  in reads, not seconds, so the work is the same on a fast or slow box.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 Query = Tuple[int, int, float]
 Edge = Tuple[int, int, float]
 
-#: Zipf exponent of the ``churn`` reads.
-SKEW = 1.0
-#: New edges in each ``churn`` mutation batch.
-EDGES_PER_BATCH = 4
+#: The dataset every workload serves, at the workload's scale.
+DATASET = "FLA"
 
 
 @dataclass(frozen=True)
 class Workload:
     name: str
-    dataset: str
     scale: float
     #: Open connections; each keeps ``depth`` requests in flight.
     connections: int = 1
     depth: int = 1
     #: Queries per request (one QUERY frame).
     frame: int = 1
-    #: Distinct queries the Zipf reads draw from (0: uniform queries).
-    universe: int = 0
-    #: Answered reads between two mutation batches (0: no mutations).
-    reads_per_batch: int = 0
     #: Warm-up requests, the last step of every set-up.
     warmup: int = 64
     #: Requests sent after set-up, untimed, to bring the server to its
@@ -57,26 +44,19 @@ class Workload:
 
 
 WORKLOADS: Dict[str, Workload] = {
-    "lone": Workload("lone", "FLA", 10.0, warmup=200),
+    "lone": Workload("lone", 10.0, warmup=200),
     "bulk": Workload(
-        "bulk", "FLA", 10.0, connections=2, depth=2, frame=1024, warmup=8,
+        "bulk", 10.0, connections=2, depth=2, frame=1024, warmup=8,
         prefill=72,
-    ),
-    "churn": Workload(
-        "churn", "EU", 3.0, universe=4096, reads_per_batch=2000, warmup=400
     ),
 }
 
-#: Smoke mode: the same three shapes on graphs of about a hundred
+#: Smoke mode: the same shapes on graphs of about a hundred
 #: vertices, so a full pass with answer checking takes seconds.
 SMOKE: Dict[str, Workload] = {
     "lone": replace(WORKLOADS["lone"], scale=0.5, warmup=16),
     "bulk": replace(
         WORKLOADS["bulk"], scale=0.5, frame=256, warmup=2, prefill=4
-    ),
-    "churn": replace(
-        WORKLOADS["churn"], scale=0.1, universe=256, reads_per_batch=50,
-        warmup=50,
     ),
 }
 
@@ -95,7 +75,7 @@ def load_graph(spec: Workload):
     suite at the workload's scale (``REPRO_SCALE`` is ignored)."""
     from repro.workloads import datasets
 
-    return datasets.load(spec.dataset, scale=spec.scale)
+    return datasets.load(DATASET, scale=spec.scale)
 
 
 class UniformQueries:
@@ -115,47 +95,20 @@ class UniformQueries:
         ]
 
 
-class ZipfQueries:
-    """An endless seeded stream of Zipf-ranked reads over ``universe``
-    distinct uniform queries: rank ``r`` is drawn with probability
-    proportional to ``r ** -SKEW``.  ``draws`` seeds the draws apart
-    from the universe, so two streams can share one universe."""
-
-    def __init__(self, graph, seed: int, universe: int, draws=None) -> None:
-        self.distinct = list(
-            dict.fromkeys(UniformQueries(graph, seed).take(universe))
-        )
-        self._rng = random.Random(seed + 1 if draws is None else draws)
-        self._cumulative: List[float] = []
-        total = 0.0
-        for rank in range(1, len(self.distinct) + 1):
-            total += rank ** -SKEW
-            self._cumulative.append(total)
-        self._total = total
-
-    def take(self, count: int) -> List[Query]:
-        rng, cumulative, total = self._rng, self._cumulative, self._total
-        return [
-            self.distinct[bisect_left(cumulative, rng.random() * total)]
-            for _ in range(count)
-        ]
-
-
-def edge_batches(graph, seed: int) -> Iterator[List[Edge]]:
-    """Endless seeded batches of ``EDGES_PER_BATCH`` edges that are new to
-    ``graph`` and to every earlier batch, so each one is an insertion
-    (never an upgrade of an existing edge, never a deletion)."""
+def new_edges(graph, seed: int, count: int) -> List[Edge]:
+    """``count`` seeded edges that are new to ``graph`` and to each
+    other, so each one is an insertion (never an upgrade of an existing
+    edge, never a deletion)."""
     rng = random.Random(seed)
     n = graph.num_vertices
     levels = graph.distinct_qualities()
     taken: Set[Tuple[int, int]] = set()
-    while True:
-        batch: List[Edge] = []
-        while len(batch) < EDGES_PER_BATCH:
-            u, v = rng.randrange(n), rng.randrange(n)
-            key = (min(u, v), max(u, v))
-            if u == v or key in taken or graph.has_edge(u, v):
-                continue
-            taken.add(key)
-            batch.append((u, v, rng.choice(levels)))
-        yield batch
+    edges: List[Edge] = []
+    while len(edges) < count:
+        u, v = rng.randrange(n), rng.randrange(n)
+        key = (min(u, v), max(u, v))
+        if u == v or key in taken or graph.has_edge(u, v):
+            continue
+        taken.add(key)
+        edges.append((u, v, rng.choice(levels)))
+    return edges
