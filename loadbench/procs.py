@@ -11,7 +11,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 HERE = Path(__file__).resolve().parent
 SERVER_SCRIPT = HERE / "server.py"
@@ -90,6 +90,14 @@ def check_clean(when: str) -> None:
         )
 
 
+def box_ticks() -> Tuple[int, int]:
+    """``(steal, total)`` clock ticks of all CPUs since boot: the time a
+    hypervisor ran something else while this box's CPUs wanted to run."""
+    cpu = Path("/proc/stat").read_text().split("\n", 1)[0]
+    ticks = [int(field) for field in cpu.split()[1:]]
+    return ticks[7], sum(ticks)
+
+
 def cpu_seconds(pids: Iterable[int]) -> float:
     total = 0
     for pid in pids:
@@ -117,9 +125,8 @@ def pss_mb(pids: Iterable[int]) -> float:
 class Server:
     """One benchmark server process, talked to over JSON lines.
 
-    A reader thread stamps every event with its arrival time, so the
-    latency of an acknowledgement does not depend on when the client
-    looks at it."""
+    A reader thread queues the server's events, so that a wait for one
+    can time out."""
 
     START_TIMEOUT = 120.0
 
@@ -160,26 +167,17 @@ class Server:
 
     def _read(self) -> None:
         for line in self.proc.stdout:
-            self.events.put((time.perf_counter(), json.loads(line)))
-        self.events.put((time.perf_counter(), None))
+            self.events.put(json.loads(line))
+        self.events.put(None)
 
     def wait(self, name: str, timeout: float) -> dict:
-        _, event = self.next_event(timeout)
+        try:
+            event = self.events.get(timeout=timeout)
+        except queue.Empty:
+            raise BenchError(f"server silent for {timeout:.0f}s") from None
         if event is None or event.get("event") != name:
             raise BenchError(f"server sent {event!r} while waiting for {name!r}")
         return event
-
-    def next_event(self, timeout: float):
-        try:
-            return self.events.get(timeout=timeout)
-        except queue.Empty:
-            raise BenchError(f"server silent for {timeout:.0f}s") from None
-
-    def poll_event(self):
-        try:
-            return self.events.get_nowait()
-        except queue.Empty:
-            return None
 
     def send(self, command: dict) -> None:
         self.proc.stdin.write(json.dumps(command) + "\n")

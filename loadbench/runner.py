@@ -17,7 +17,7 @@ from pathlib import Path
 import layers
 from checks import check_answers
 from load import Meter, pipelined, reads
-from procs import Server, check_clean, cpu_seconds
+from procs import Server, box_ticks, check_clean, cpu_seconds
 from workloads import DATASET, UniformQueries, load_graph, workload
 
 from repro.serve import NetClient
@@ -32,7 +32,7 @@ CHECK_EVERY = 32
 WARMUP_SEED = 7919
 
 
-def provenance(spec, ready: dict, load_start) -> dict:
+def provenance(spec, ready: dict, load_start, ticks_start) -> dict:
     def git(*args):
         try:
             out = subprocess.run(
@@ -49,6 +49,7 @@ def provenance(spec, ready: dict, load_start) -> dict:
     except ImportError:
         numpy_version = None
     status = git("status", "--porcelain", "--untracked-files=no")
+    steal, total = box_ticks()
     return {
         "git_sha": git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
@@ -63,6 +64,9 @@ def provenance(spec, ready: dict, load_start) -> dict:
         "kernel": ready["kernel"],
         "loadavg_start": list(load_start),
         "loadavg_end": list(os.getloadavg()),
+        # Share of CPU time the hypervisor gave to others during the run:
+        # runs slow down together when it rises.
+        "steal_share": (steal - ticks_start[0]) / max(1, total - ticks_start[1]),
     }
 
 
@@ -76,7 +80,7 @@ class Run:
 
     def run(self) -> int:
         check_clean("start")
-        load_start = os.getloadavg()
+        load_start, ticks_start = os.getloadavg(), box_ticks()
         try:
             setups = 1 if self.args.trace or self.args.smoke else SETUPS
             setup_s = []
@@ -101,7 +105,7 @@ class Run:
         print(json.dumps({
             "workload": self.spec.name,
             "seed": self.args.seed,
-            "provenance": provenance(self.spec, ready, load_start),
+            "provenance": provenance(self.spec, ready, load_start, ticks_start),
             "detail": result.pop("detail"),
         }))
         print(json.dumps(result))
