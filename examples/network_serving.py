@@ -32,16 +32,16 @@ def main() -> None:
 
     # NetServerThread runs the asyncio server on a private event loop in
     # a daemon thread; port 0 asks the OS for a free port.  Queries from
-    # all connections coalesce into micro-batches of up to max_batch,
-    # flushed after at most max_wait_us microseconds; past max_inflight
-    # queries the admission controller sheds with a typed error instead
-    # of queueing without bound.
+    # all connections coalesce into micro-batches of up to max_batch:
+    # whenever the batcher is idle it dispatches everything already
+    # queued, so a lone request never waits for company.  Past
+    # max_inflight queries the admission controller sheds with a typed
+    # error instead of queueing without bound.
     front = NetServerThread(
         InProcessClient(frozen),
         host="127.0.0.1",
         port=0,
         max_batch=64,
-        max_wait_us=200,
         max_inflight=4096,
     )
     host, port = front.start()

@@ -283,11 +283,7 @@ def _serve_listen(args, kernel: str) -> int:
 
     from .obs import JsonlExporter, Telemetry
     from .serve import CachingClient, NetServerThread, PoolClient, QueryServer
-    from .serve.net import (
-        DEFAULT_MAX_BATCH,
-        DEFAULT_MAX_INFLIGHT,
-        DEFAULT_MAX_WAIT_US,
-    )
+    from .serve.net import DEFAULT_MAX_BATCH, DEFAULT_MAX_INFLIGHT
 
     host, port = _parse_hostport(args.listen, "serve")
     telemetry = Telemetry(
@@ -303,11 +299,6 @@ def _serve_listen(args, kernel: str) -> int:
         )
     max_batch = (
         args.max_batch if args.max_batch is not None else DEFAULT_MAX_BATCH
-    )
-    max_wait_us = (
-        args.max_wait_us
-        if args.max_wait_us is not None
-        else DEFAULT_MAX_WAIT_US
     )
     max_inflight = (
         args.max_inflight
@@ -339,7 +330,6 @@ def _serve_listen(args, kernel: str) -> int:
             host=host,
             port=port,
             max_batch=max_batch,
-            max_wait_us=max_wait_us,
             max_inflight=max_inflight,
             telemetry=telemetry,
         ) as front:
@@ -349,8 +339,8 @@ def _serve_listen(args, kernel: str) -> int:
             print(
                 f"serving {args.index} over TCP "
                 f"({server.num_workers} workers, {server.kernel_backend} "
-                f"kernel, max_batch={max_batch}, "
-                f"max_wait_us={max_wait_us:g}, "
+                "kernel, batcher flushes when idle, "
+                f"max_batch={max_batch}, "
                 f"max_inflight={max_inflight}, "
                 + (
                     f"cache={cache_entries} entries, "
@@ -998,7 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="serve over TCP instead of answering the positional "
         "queries: bind the asyncio front door (length-prefixed binary "
-        "frames, micro-batching, admission control) and run until "
+        "frames, micro-batching that flushes whenever the batcher is "
+        "idle, admission control) and run until "
         "SIGINT/SIGTERM (port 0 picks a free port; the bound address "
         "is printed as 'listening on HOST:PORT')",
     )
@@ -1006,15 +997,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=None,
-        help="--listen: queries coalesced into one pool batch before "
-        "the window flushes (default 128)",
-    )
-    p_serve.add_argument(
-        "--max-wait-us",
-        type=float,
-        default=None,
-        help="--listen: micro-batching window in microseconds — how "
-        "long an admitted query waits for company (default 500)",
+        help="--listen: most queries one pool batch carries; the "
+        "batcher dispatches whatever is queued, up to this many, as "
+        "soon as it is idle (default 128)",
     )
     p_serve.add_argument(
         "--max-inflight",

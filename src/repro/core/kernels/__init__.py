@@ -13,6 +13,9 @@ Two backends ship:
   buffers with ``numpy.frombuffer`` (zero copies) and answers whole
   workloads with vectorized group intersection and feasibility scans —
   no Python-level inner loop.  Available only when numpy is installed.
+  Batches of fewer than 32 queries, and batches where nearly every
+  query has its own threshold, are handed to the stdlib kernels: on
+  them the vectorized path's fixed per-call cost outweighs its saving.
 
 Backend selection is a *name* threaded through every layer — engine
 constructors, ``load_frozen`` / ``attach_frozen``, the shared-memory

@@ -71,6 +71,13 @@ _W_CACHE_BUDGET = 8_000_000
 #: kernels instead (answers are bit-identical either way).
 _MAX_DISTINCT_W = 64
 
+#: Batches of fewer queries than this go to the stdlib kernels before
+#: any numpy work: the vectorized path's fixed per-call cost only pays
+#: off past the crossover.  Per query on FLA at ``REPRO_SCALE=10``
+#: (2,703 vertices; 2-core VM), numpy vs stdlib: 79 vs 21 us at batch
+#: 1, 26 vs 18 at 16, 21 vs 19 at 31, 15 vs 19 at 32, 8 vs 19 at 64.
+_MIN_NUMPY_BATCH = 32
+
 
 class _WSlice:
     """One side's feasible group structure at one constraint value
@@ -200,8 +207,9 @@ class _NumpySideState:
 class NumpyKernelBackend(KernelBackend):
     """Vectorized batch kernels over ``numpy.frombuffer`` views of the
     frozen buffers.  Bit-identical to :class:`~repro.core.kernels.stdlib.
-    StdlibKernelBackend`; single-point queries still run the stdlib flat
-    merge (one query cannot amortize array dispatch)."""
+    StdlibKernelBackend`; single-point queries and batches below
+    ``_MIN_NUMPY_BATCH`` queries still run the stdlib flat merge (they
+    cannot amortize array dispatch)."""
 
     name = "numpy"
 
@@ -213,28 +221,32 @@ class NumpyKernelBackend(KernelBackend):
             queries = list(queries)
         if not queries:
             return []
-        triples = np.asarray(queries, dtype=np.float64)
-        if triples.ndim != 2 or triples.shape[1] != 3:
-            raise ValueError("queries must be (s, t, w) triples")
-        s = triples[:, 0].astype(np.int64)
-        t = triples[:, 1].astype(np.int64)
-        w = triples[:, 2]
-        bad = (s < 0) | (s >= n) | (t < 0) | (t >= n)
-        if bad.any():
-            first = int(bad.argmax())
-            bad_s, bad_t = queries[first][0], queries[first][1]
-            raise ValueError(
-                f"query vertex out of range in ({bad_s}, {bad_t})"
-            )
-        # One sub-batch per distinct constraint value — real workloads
-        # reuse a handful of thresholds, and per value the feasibility
-        # slices reduce the merge to expansion + searchsorted + gathers.
-        wvals, w_inv = np.unique(w, return_inverse=True)
-        w_inv = w_inv.reshape(-1)
-        if wvals.size > max(_MAX_DISTINCT_W, len(queries) // 32):
-            # Nearly every query carries its own threshold: per-value
-            # slices cannot amortize, so hand the batch to the stdlib
-            # merge (same answers, bit for bit).
+        small = len(queries) < _MIN_NUMPY_BATCH
+        if not small:
+            triples = np.asarray(queries, dtype=np.float64)
+            if triples.ndim != 2 or triples.shape[1] != 3:
+                raise ValueError("queries must be (s, t, w) triples")
+            s = triples[:, 0].astype(np.int64)
+            t = triples[:, 1].astype(np.int64)
+            w = triples[:, 2]
+            bad = (s < 0) | (s >= n) | (t < 0) | (t >= n)
+            if bad.any():
+                first = int(bad.argmax())
+                bad_s, bad_t = queries[first][0], queries[first][1]
+                raise ValueError(
+                    f"query vertex out of range in ({bad_s}, {bad_t})"
+                )
+            # One sub-batch per distinct constraint value — real
+            # workloads reuse a handful of thresholds, and per value the
+            # feasibility slices reduce the merge to expansion +
+            # searchsorted + gathers.
+            wvals, w_inv = np.unique(w, return_inverse=True)
+            w_inv = w_inv.reshape(-1)
+        if small or wvals.size > max(_MAX_DISTINCT_W, len(queries) // 32):
+            # Too few queries to pay the vectorized path's fixed cost,
+            # or nearly every query carries its own threshold so
+            # per-value slices cannot amortize: hand the batch to the
+            # stdlib merge (same answers, bit for bit).
             from . import resolve_backend
 
             stdlib = resolve_backend("stdlib")

@@ -10,8 +10,9 @@ span                      meaning
 ========================  =============================================
 ``queue-wait``            admitted by the front door until the batcher
                           picked the request up
-``batch-coalesce``        sitting in the forming batch waiting for
-                          more requests (or the deadline)
+``batch-coalesce``        picked up until the batch is dispatched
+                          (the batcher drains what is already queued
+                          and never waits, so this stays short)
 ``kernel``                the backend ``distance_many`` call (executor
                           thread, pool round trip included)
 ``cache-lookup``          the answer-cache probe (and, on a miss, the

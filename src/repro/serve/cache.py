@@ -22,12 +22,14 @@ directions of an undirected pair.
 reads only ``L(s)`` and ``L(t)``, and the
 :class:`~repro.live.journal.UpdateJournal` dirty set is exactly the
 vertices whose label lists changed (the live wrappers diff or repair
-exactly).  Each cache entry records its dependency set — the endpoints
-plus the hub vertices their labels reach — and a republish evicts only
-entries whose dependency set intersects the dirty set.  A 1% dirty
-batch therefore keeps ~99% of the cache warm; only a non-incremental
-rebuild (vertex order changed, every hub rank reinterpreted) flushes
-everything.
+exactly).  An entry's dependency set is its endpoints plus the hub
+vertices their labels reach; the entry holds it as references to the
+two per-endpoint reach sets the keyer memoizes (shared by every entry
+of that endpoint, so an entry costs no set of its own), and a
+republish evicts only entries where either set intersects the dirty
+set.  A 1% dirty batch therefore keeps ~99% of the cache warm; only a
+non-incremental rebuild (vertex order changed, every hub rank
+reinterpreted) flushes everything.
 
 Fills race republishes in the network front door (the batcher computes
 answers on an executor thread), so every fill carries the *generation
@@ -80,6 +82,7 @@ _ABOVE_ALL = float("inf")
 
 Query = Tuple[int, int, float]
 Key = Tuple[int, int, float]
+_Entry = Tuple[float, FrozenSet[int], FrozenSet[int]]
 
 
 class _Keyer:
@@ -137,14 +140,13 @@ class _Keyer:
             s, t = t, s
         return (s, t, bucket)
 
-    def deps(self, key: Key) -> FrozenSet[int]:
-        """The entry's dependency set: both endpoints plus every hub
-        vertex their labels reach (out-side for sources, in-side for
-        targets in the directed family)."""
+    def reach_pair(self, key: Key) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """The entry's dependency set as the two memoized endpoint reach
+        sets (each endpoint plus every hub vertex its labels reach:
+        out-side for sources, in-side for targets in the directed
+        family); the entry depends on their union."""
         s, t = key[0], key[1]
-        if self._directed:
-            return self._side_reach(s, False) | self._side_reach(t, True)
-        return self._side_reach(s, False) | self._side_reach(t, False)
+        return self._side_reach(s, False), self._side_reach(t, self._directed)
 
     def _side_reach(self, v: int, in_side: bool) -> FrozenSet[int]:
         slot = v + self._n if in_side else v
@@ -170,11 +172,10 @@ class _Shard:
 
     def __init__(self, capacity: int) -> None:
         self.lock = threading.Lock()
-        # key -> (answer, dependency frozenset); insertion order is
-        # recency order (move_to_end on hit).
-        self.entries: "OrderedDict[Key, Tuple[float, FrozenSet[int]]]" = (
-            OrderedDict()
-        )
+        # key -> (answer, source reach set, target reach set), the sets
+        # shared with the keyer's memo; insertion order is recency order
+        # (move_to_end on hit).
+        self.entries: "OrderedDict[Key, _Entry]" = OrderedDict()
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -192,11 +193,16 @@ class _Shard:
                 self.hits += 1
             return entry[0]
 
-    def put(self, key: Key, value: float, deps: FrozenSet[int]) -> None:
+    def put(
+        self,
+        key: Key,
+        value: float,
+        reach: Tuple[FrozenSet[int], FrozenSet[int]],
+    ) -> None:
         with self.lock:
             if key in self.entries:
                 self.entries.move_to_end(key)
-            self.entries[key] = (value, deps)
+            self.entries[key] = (value, *reach)
             while len(self.entries) > self.capacity:
                 self.entries.popitem(last=False)
                 self.evictions += 1
@@ -205,8 +211,8 @@ class _Shard:
         with self.lock:
             stale = [
                 key
-                for key, (_, deps) in self.entries.items()
-                if deps & dirty
+                for key, (_, reach_s, reach_t) in self.entries.items()
+                if not (dirty.isdisjoint(reach_s) and dirty.isdisjoint(reach_t))
             ]
             for key in stale:
                 del self.entries[key]
@@ -286,12 +292,12 @@ class AnswerCache:
         keyer = self._keyer
         if keyer is None or token != self._generation:
             return False
-        deps = keyer.deps(key)
+        reach = keyer.reach_pair(key)
         if token != self._generation:
-            # The invalidation may have landed while deps were being
-            # computed from the superseded engine.
+            # The invalidation may have landed while the reach sets were
+            # being computed from the superseded engine.
             return False
-        self._shard_of(key).put(key, value, deps)
+        self._shard_of(key).put(key, value, reach)
         return True
 
     def count_hits(self, count: int) -> None:

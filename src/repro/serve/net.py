@@ -9,10 +9,12 @@ shared-memory :class:`~repro.serve.server.QueryServer` pool behind a
 *front door* rather than a socket wrapper:
 
 **Micro-batching.**  Concurrent requests — across connections — are
-coalesced into one ``distance_many`` call: the batcher takes the first
-pending request, then keeps absorbing arrivals until the batch reaches
-``max_batch`` queries or the oldest has waited ``max_wait_us``
-microseconds, whichever first.  The per-query cost of frame handling,
+coalesced into one ``distance_many`` call.  The batcher flushes when
+idle, with no timer: it takes the first pending request, drains
+whatever else is already queued (up to ``max_batch`` queries) and
+dispatches at once.  Requests that arrive while a batch executes make
+up the next batch, so coalescing grows with load while a lone request
+never waits for companions.  The per-query cost of frame handling,
 executor hand-off and kernel entry is amortized over the whole batch —
 exactly the serving shape the paper's batch kernels (and the numpy
 backend's vectorized ``distance_many``) are built for.  ``max_batch=1``
@@ -78,9 +80,8 @@ from .stats import ServerStats
 
 __all__ = ["NetServer", "NetServerThread"]
 
-#: Defaults of the micro-batching window.
+#: Default cap on the queries one coalesced batch carries.
 DEFAULT_MAX_BATCH = 128
-DEFAULT_MAX_WAIT_US = 500.0
 
 #: Default admission budget (queries admitted but not yet answered).
 DEFAULT_MAX_INFLIGHT = 8192
@@ -273,22 +274,18 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_us: float = DEFAULT_MAX_WAIT_US,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         stats: Optional[ServerStats] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_us < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self._backend = backend
         self._host = host
         self._port = port
         self._max_batch = max_batch
-        self._max_wait = max_wait_us / 1e6
         self._max_inflight = max_inflight
         # One registry carries everything: the telemetry counters, the
         # admission stats, and the bridge collectors over the backend
@@ -396,8 +393,8 @@ class NetServer:
             return
         loop = asyncio.get_running_loop()
         # Answer-before-dispatch: a batch served entirely from the
-        # backend's answer cache never waits for the batching window,
-        # never costs admission budget, and never touches the pool.
+        # backend's answer cache never queues behind the batcher, never
+        # costs admission budget, and never touches the pool.
         cached = getattr(self._backend, "cached_answers", None)
         if cached is not None:
             sampled = self.telemetry.should_sample(flags)
@@ -460,33 +457,25 @@ class NetServer:
     # ------------------------------------------------------------------
     async def _batch_loop(self) -> None:
         loop = asyncio.get_running_loop()
+        queue = self._queue
         while True:
-            request = await self._queue.get()
+            request = await queue.get()
             if request is _STOP:
                 return
-            request.picked_at = loop.time()
+            picked_at = request.picked_at = loop.time()
             batch = [request]
             total = len(request.queries)
             stop_after = False
-            if self._max_batch > 1:
-                deadline = request.picked_at + self._max_wait
-                while total < self._max_batch:
-                    remaining = deadline - loop.time()
-                    try:
-                        if remaining <= 0:
-                            nxt = self._queue.get_nowait()
-                        else:
-                            nxt = await asyncio.wait_for(
-                                self._queue.get(), remaining
-                            )
-                    except (asyncio.QueueEmpty, asyncio.TimeoutError):
-                        break
-                    if nxt is _STOP:
-                        stop_after = True
-                        break
-                    nxt.picked_at = loop.time()
-                    batch.append(nxt)
-                    total += len(nxt.queries)
+            # Flush when idle: take only what is already queued (what
+            # arrived while the previous batch executed), never wait.
+            while total < self._max_batch and not queue.empty():
+                nxt = queue.get_nowait()
+                if nxt is _STOP:
+                    stop_after = True
+                    break
+                nxt.picked_at = picked_at
+                batch.append(nxt)
+                total += len(nxt.queries)
             try:
                 await self._execute(loop, batch)
             except asyncio.CancelledError:
@@ -637,7 +626,6 @@ class NetServer:
             "protocol_version": protocol.PROTOCOL_VERSION,
             "address": list(self._address) if self._address else None,
             "max_batch": self._max_batch,
-            "max_wait_us": self._max_wait * 1e6,
             "max_inflight": self._max_inflight,
         }
         report.update(self.stats.snapshot())

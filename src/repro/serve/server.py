@@ -243,6 +243,12 @@ class QueryServer:
         #: Serializes structural mutation of the worker table (dispatch,
         #: respawn, swap, close) against the supervisor thread.
         self._lock = threading.RLock()
+        #: Serializes the readers of the shared result pipes: a batch
+        #: (dispatch and gather) against another batch or a swap's ack
+        #: gather, each of which would discard the other's results as
+        #: stale.  Separate from ``_lock`` so the supervisor's respawn
+        #: never waits on a batch; always taken before ``_lock``.
+        self._gather_lock = threading.Lock()
         self._image: Optional[ShmIndexImage] = ShmIndexImage(
             source, validate=validate, name=segment_name
         )
@@ -378,9 +384,9 @@ class QueryServer:
         :func:`multiprocessing.connection.wait`.  A pipe at EOF — its
         worker died, possibly mid-``send``, leaving at most a torn
         message that dies with the pipe — is retired here; the chunk
-        reroute path re-answers whatever it was carrying.  Only this
-        process's client thread ever reads results, so wait-then-recv
-        cannot race another reader.
+        reroute path re-answers whatever it was carrying.  Callers hold
+        ``_gather_lock``, so only one thread ever reads results and
+        wait-then-recv cannot race another reader.
         """
         deadline = time.monotonic() + wait
         while True:
@@ -484,6 +490,13 @@ class QueryServer:
         queries = list(queries)
         if not queries:
             return []
+        with self._gather_lock:
+            return self._run_batch(queries, chunk_size, timeout, retries, trace_sink)
+
+    def _run_batch(
+        self, queries, chunk_size, timeout, retries, trace_sink
+    ) -> List[float]:
+        """:meth:`query_batch` past validation, under the gather lock."""
         dispatch_start = time.monotonic() if trace_sink is not None else 0.0
         live = self._live_workers()
         if not live:
@@ -672,12 +685,13 @@ class QueryServer:
 
         Publishes ``source`` (any engine or index path) as a new shared
         segment, tells every live worker to re-attach, waits for the
-        acks, then unlinks the old generation.  Call between batches —
-        the facade is synchronous, so no query can be in flight — and
-        every batch issued after this returns answers from the new
-        image.  Workers that die mid-swap are routed around like on the
-        query path; if none survive, the swap still commits (the pool
-        then raises on the next batch).  The server lock is held
+        acks, then unlinks the old generation.  A batch running on
+        another thread finishes first (batches and the ack gather share
+        one lock, since both read the same result pipes), and every
+        batch issued after this returns answers from the new image.
+        Workers that die mid-swap are routed around like on the query
+        path; if none survive, the swap still commits (the pool then
+        raises on the next batch).  The server lock is held
         throughout, so a supervisor respawn can never land between the
         re-attach orders and the old generation's unlink — respawned
         workers always attach the committed generation.
@@ -693,7 +707,7 @@ class QueryServer:
         if self._image is None:
             raise RuntimeError("query server is closed")
         new_image = ShmIndexImage(source, validate=validate, name=segment_name)
-        with self._lock:
+        with self._gather_lock, self._lock:
             live = [
                 index
                 for index, process in enumerate(self._workers)

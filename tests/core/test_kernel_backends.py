@@ -6,6 +6,9 @@ high-cardinality-w delegation path)."""
 
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
@@ -141,6 +144,20 @@ def all_queries(num_vertices, thresholds):
     ]
 
 
+def force_vectorized():
+    """Keep batches of any size on the vectorized path (small ones are
+    otherwise routed to the stdlib kernels)."""
+    from repro.core.kernels import numpy_backend
+
+    return mock.patch.object(numpy_backend, "_MIN_NUMPY_BATCH", 1)
+
+
+@pytest.fixture
+def vectorized():
+    with force_vectorized():
+        yield
+
+
 def assert_backends_agree(index):
     """Freeze once per backend and require bit-identical batches —
     including the unreachable pairs (INF) the sparse strategies
@@ -148,9 +165,9 @@ def assert_backends_agree(index):
     stdlib_engine = index.freeze(backend="stdlib")
     numpy_engine = index.freeze(backend="numpy")
     queries = all_queries(index.num_vertices, QUERY_CONSTRAINTS)
-    assert numpy_engine.distance_many(queries) == (
-        stdlib_engine.distance_many(queries)
-    )
+    with force_vectorized():
+        numpy_answers = numpy_engine.distance_many(queries)
+    assert numpy_answers == stdlib_engine.distance_many(queries)
 
 
 @needs_numpy
@@ -176,7 +193,7 @@ class TestNumpyEquivalence:
         )
         assert frozen.distance_many([]) == []
 
-    def test_single_vertex_no_edges(self):
+    def test_single_vertex_no_edges(self, vectorized):
         from repro.graph.graph import Graph
 
         frozen = build_wc_index_plus(Graph(1), "degree").freeze(
@@ -184,7 +201,7 @@ class TestNumpyEquivalence:
         )
         assert frozen.distance_many([(0, 0, 1.0)]) == [0.0]
 
-    def test_out_of_range_matches_stdlib_message(self):
+    def test_out_of_range_matches_stdlib_message(self, vectorized):
         index = build_wc_index_plus(random_graph(5), "degree")
         queries = [(0, 0, 1.0), (0, index.num_vertices, 1.0)]
         with pytest.raises(ValueError) as stdlib_err:
@@ -193,12 +210,49 @@ class TestNumpyEquivalence:
             index.freeze(backend="numpy").distance_many(queries)
         assert str(numpy_err.value) == str(stdlib_err.value)
 
-    def test_negative_vertex_rejected(self):
+    def test_negative_vertex_rejected(self, vectorized):
         frozen = build_wc_index_plus(random_graph(6), "degree").freeze(
             backend="numpy"
         )
         with pytest.raises(ValueError, match="out of range"):
             frozen.distance_many([(-1, 0, 1.0)])
+
+    def test_small_batches_route_to_stdlib(self, monkeypatch):
+        # Below the crossover the whole batch goes to the stdlib kernel
+        # (bit-identical answers); at or above it, numpy keeps it.
+        from repro.core.kernels import numpy_backend
+
+        crossover = numpy_backend._MIN_NUMPY_BATCH
+        assert crossover == 32
+        index = build_wc_index_plus(
+            gnm_random_graph(40, 120, seed=11, num_qualities=4), "degree"
+        )
+        rng = random.Random(5)
+        batches = {
+            size: [
+                (rng.randrange(40), rng.randrange(40), rng.choice((1.0, 2.5)))
+                for _ in range(size)
+            ]
+            for size in (1, 16, crossover - 1, crossover, 128)
+        }
+        expected = {
+            size: index.freeze(backend="stdlib").distance_many(queries)
+            for size, queries in batches.items()
+        }
+        numpy_engine = index.freeze(backend="numpy")
+        stdlib = resolve_backend("stdlib")
+        routed = []
+        real_batch = stdlib.batch
+
+        def spy(queries, *args):
+            routed.append(len(queries))
+            return real_batch(queries, *args)
+
+        monkeypatch.setattr(stdlib, "batch", spy)
+        for size, queries in batches.items():
+            del routed[:]
+            assert numpy_engine.distance_many(queries) == expected[size]
+            assert routed == ([size] if size < crossover else [])
 
     def test_high_cardinality_w_delegates_identically(self):
         # One distinct threshold per query defeats the per-w slice
@@ -206,8 +260,6 @@ class TestNumpyEquivalence:
         # answers must not change.
         graph = gnm_random_graph(40, 120, seed=11, num_qualities=4)
         index = build_wc_index_plus(graph, "degree")
-        import random
-
         rng = random.Random(13)
         queries = [
             (rng.randrange(40), rng.randrange(40), 1.0 + rng.random() * 3)

@@ -6,7 +6,12 @@ counters surfaced through ``health()`` and the ``HEALTH`` frame."""
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import thresholds_for
 
@@ -274,6 +279,72 @@ class TestInvalidation:
         assert cache.get(key, count=False) is MISS
         assert cache.put(key, 2.0, cache.token()) is True
         assert cache.get(key, count=False) == 2.0
+
+
+@pytest.fixture(scope="module")
+def wide_frozen():
+    # ~29 label hubs per vertex: a union of two endpoints' reach sets
+    # takes a few KiB as a set of its own.
+    network = scale_free_network(300, 4, num_qualities=5, seed=3)
+    return build_wc_index_plus(network).freeze()
+
+
+def distinct_keys(cache, n, count, seed):
+    rng = random.Random(seed)
+    levels = cache.quality_levels
+    keys = set()
+    while len(keys) < count:
+        query = (rng.randrange(n), rng.randrange(n), rng.choice(levels))
+        keys.add(cache.key_for(query))
+    return sorted(keys)
+
+
+def reach(engine, v):
+    return {v} | {hub for hub, _, _ in engine.entries_of(v)}
+
+
+class TestEntryFootprint:
+    def test_entries_share_the_endpoint_reach_sets(self, wide_frozen):
+        cache = AnswerCache(wide_frozen, entries=1 << 14)
+        keys = distinct_keys(cache, wide_frozen.num_vertices, 3000, seed=1)
+        # Memoize every endpoint's reach set first: those are per
+        # vertex, not per entry.
+        for key in keys:
+            cache.put(key, 1.0, cache.token())
+        cache.flush()
+        values = [i + 0.5 for i in range(len(keys))]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for key, value in zip(keys, values):
+                assert cache.put(key, value, cache.token())
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == len(keys)
+        assert grown / len(keys) < 1024
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dirty=st.sets(st.integers(0, 299), max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_invalidate_evicts_exactly_the_dependent_keys(
+        self, wide_frozen, dirty, seed
+    ):
+        cache = AnswerCache(wide_frozen, entries=1 << 12)
+        keys = distinct_keys(cache, wide_frozen.num_vertices, 400, seed)
+        for key in keys:
+            cache.put(key, 1.0, cache.token())
+        expected = {
+            key
+            for key in keys
+            if (reach(wide_frozen, key[0]) | reach(wide_frozen, key[1])) & dirty
+        }
+        assert cache.invalidate(dirty) == len(expected)
+        for key in keys:
+            hit = cache.get(key, count=False) is not MISS
+            assert hit == (key not in expected)
 
 
 class TestCachingClient:

@@ -118,9 +118,7 @@ class TestBitIdentity:
 
 class TestMicroBatching:
     def test_concurrent_clients_coalesce(self, frozen, workload):
-        with NetServerThread(
-            InProcessClient(frozen), max_batch=64, max_wait_us=2000.0
-        ) as front:
+        with NetServerThread(InProcessClient(frozen), max_batch=64) as front:
             expected = frozen.distance_many(workload)
             results = {}
 
@@ -146,6 +144,60 @@ class TestMicroBatching:
         assert batches["batches"] < 8 * len(workload)
         assert batches["mean_size"] > 1.0
         assert report["queries"]["answered"] == 8 * len(workload)
+
+    def test_idle_flush_then_arrivals_coalesce(self, frozen, workload):
+        # No timing assertions: the backend blocks on an event, so what
+        # reaches it together is decided by queue order alone.
+        entered = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        class Gated:
+            def distance_many(self, queries):
+                calls.append(list(queries))
+                entered.set()
+                release.wait(10.0)
+                return frozen.distance_many(queries)
+
+        lone, *rest = workload[:4]
+        with NetServerThread(InProcessClient(Gated()), max_batch=64) as front:
+            clients = [NetClient(*front.address) for _ in range(4)]
+            results = {}
+            others = []
+
+            def ask(slot, query):
+                results[slot] = clients[slot].distance_many([query])
+
+            try:
+                first = threading.Thread(target=ask, args=(0, lone))
+                first.start()
+                # An idle server dispatches a lone request by itself.
+                assert entered.wait(10.0)
+                assert calls == [[lone]]
+                others.extend(
+                    threading.Thread(target=ask, args=(slot, query))
+                    for slot, query in enumerate(rest, start=1)
+                )
+                for t in others:
+                    t.start()
+                # Wait (liveness bound only) until all three are
+                # admitted behind the blocked call.
+                deadline = time.time() + 10.0
+                while front.server.stats.in_flight < 4:
+                    assert time.time() < deadline, "requests never admitted"
+                    time.sleep(0.01)
+            finally:
+                release.set()
+                for t in [first, *others]:
+                    t.join(timeout=10.0)
+                for c in clients:
+                    c.close()
+        # The three that arrived while the backend was busy reach it as
+        # one batch.
+        assert len(calls) == 2
+        assert sorted(calls[1]) == sorted(rest)
+        for slot, query in enumerate([lone, *rest]):
+            assert results[slot] == frozen.distance_many([query])
 
     def test_per_request_dispatch_mode(self, frozen, workload):
         # max_batch=1 disables cross-request coalescing: single-query
@@ -390,8 +442,6 @@ class TestNetServerValidation:
         backend = InProcessClient(frozen)
         with pytest.raises(ValueError):
             NetServer(backend, max_batch=0)
-        with pytest.raises(ValueError):
-            NetServer(backend, max_wait_us=-1.0)
         with pytest.raises(ValueError):
             NetServer(backend, max_inflight=0)
 

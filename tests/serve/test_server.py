@@ -1,8 +1,10 @@
 """Tests for the shared-memory multi-process QueryServer."""
 
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -237,6 +239,76 @@ class TestQueryServer:
         assert "workers=1" in repr(server)
         server.close()
         assert "closed" in repr(server)
+
+
+class TestSwapDuringBatches:
+    def test_swaps_and_concurrent_batches_never_deadlock(self, frozen, workload):
+        # Batches and a swap's ack gather read the same result pipes:
+        # unserialized, each drops the other's replies as stale and both
+        # wait forever.  A watchdog kills the workers if that happens,
+        # which unblocks both sides so the failure reports instead of
+        # hanging the suite.
+        other = build_wc_index_plus(
+            scale_free_network(120, 3, num_qualities=5, seed=10)
+        ).freeze()
+        images = (frozen, other)
+        expected = [image.distance_many(workload) for image in images]
+        assert expected[0] != expected[1]
+        server = QueryServer(frozen, workers=2)
+        # images[k % 2] serves once swap k commits; a batch must answer
+        # from one generation between the swaps returned before it and
+        # the swaps begun by its end.
+        begun, returned = [0], [0]
+        stop = threading.Event()
+        batches, wrong, errors = [], [], []
+        deadlocked = threading.Event()
+
+        def drive():
+            try:
+                while not stop.is_set():
+                    low = returned[0]
+                    answers = server.query_batch(workload)
+                    epochs = range(low, begun[0] + 1)
+                    batches.append(answers)
+                    if all(answers != expected[e % 2] for e in epochs):
+                        wrong.append((low, begun[0]))
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        # Read up front: a deadlocked swap holds the server lock that
+        # worker_states() takes.
+        pids = [state["pid"] for state in server.worker_states()]
+
+        def break_deadlock():
+            deadlocked.set()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+
+        watchdog = threading.Timer(60.0, break_deadlock)
+        watchdog.start()
+        # Switch threads often, so the swaps land inside batches.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        try:
+            for _ in range(20):
+                begun[0] += 1
+                server.swap_image(images[begun[0] % 2])
+                returned[0] += 1
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+        finally:
+            stop.set()
+            driver.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+            watchdog.cancel()
+            server.close()
+        assert not deadlocked.is_set(), "swap_image deadlocked against a batch"
+        assert not driver.is_alive()
+        assert not errors, errors
+        assert batches
+        assert not wrong, wrong
 
 
 class TestCleanShutdown:
